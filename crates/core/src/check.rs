@@ -92,8 +92,15 @@ pub fn and_decomposable_cubes(mgr: &mut Bdd, isf: &Isf, xa_cube: Func, xb_cube: 
 /// `Q_D = ∃xa Q · ∃xa R` (derivative must be 1), `R_D = ∀xa Q + ∀xa R`
 /// (derivative must be 0). Decomposable iff `Q_D · ∃xb R_D = 0`.
 pub fn exor_decomposable_pair(mgr: &mut Bdd, isf: &Isf, xa: VarId, xb: VarId) -> bool {
+    let derivative = derivative(mgr, isf, xa);
+    exor_decomposable_pair_derivative(mgr, derivative, xb)
+}
+
+/// [`exor_decomposable_pair`] with the derivative `(Q_D, R_D)` w.r.t. `xa`
+/// already built by [`derivative`], so a caller testing many partners of
+/// one variable derives it once.
+pub fn exor_decomposable_pair_derivative(mgr: &mut Bdd, (qd, rd): (Func, Func), xb: VarId) -> bool {
     note_check();
-    let (qd, rd) = derivative(mgr, isf, xa);
     let cb = mgr.cube(&VarSet::singleton(xb));
     let erd = mgr.exists(rd, cb);
     mgr.disjoint(qd, erd)

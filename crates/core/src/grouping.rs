@@ -6,7 +6,9 @@
 //! balanced ("the closer their sizes are, the better" — balanced sets give
 //! balanced netlists and short delay).
 
-use bdd::{Bdd, VarSet};
+use std::collections::HashMap;
+
+use bdd::{Bdd, Func, VarId, VarSet};
 
 use crate::check;
 use crate::exor;
@@ -33,12 +35,79 @@ impl Grouping {
     }
 }
 
+/// Theorem 2 pair verdicts of one ISF, filled lazily and shared by the
+/// Fig. 5 seed search and the Fig. 6 growth of an EXOR grouping.
+///
+/// A candidate `(X_A, X_B)` is decided without Fig. 4 where that is exact:
+///
+/// * If some pair `(a, b)` in `X_A × X_B` fails Theorem 2, no decomposition
+///   exists: the components of one with `(X_A, X_B)` also decompose the
+///   ISF with `({a}, {b})`, the other variables becoming common.
+/// * If the ISF is completely specified and every pair passes, one exists:
+///   `∂²F/∂a∂b ≡ 0` for every such pair means no monomial of the
+///   algebraic normal form of `F` mixes `X_A` and `X_B`, so
+///   `F = A(X_A, X_C) ⊕ B(X_B, X_C)`.
+///
+/// Otherwise the full Fig. 4 check runs. It stays the only source of EXOR
+/// components; this table only answers yes/no.
+struct ExorPairs {
+    isf: Isf,
+    /// `Q + R = 1`, computed on first use.
+    complete: Option<bool>,
+    /// `(Q_D, R_D)` of [`check::derivative`] per variable.
+    derivatives: HashMap<VarId, (Func, Func)>,
+    /// Theorem 2 verdicts keyed by `(min, max)`: the test is symmetric.
+    verdicts: HashMap<(VarId, VarId), bool>,
+}
+
+impl ExorPairs {
+    fn new(isf: &Isf) -> Self {
+        ExorPairs {
+            isf: *isf,
+            complete: None,
+            derivatives: HashMap::new(),
+            verdicts: HashMap::new(),
+        }
+    }
+
+    /// Theorem 2: is the ISF EXOR-decomposable with `({x}, {y})`?
+    fn pair(&mut self, mgr: &mut Bdd, x: VarId, y: VarId) -> bool {
+        let key = (x.min(y), x.max(y));
+        if let Some(&verdict) = self.verdicts.get(&key) {
+            return verdict;
+        }
+        let isf = &self.isf;
+        let derivative =
+            *self.derivatives.entry(key.0).or_insert_with(|| check::derivative(mgr, isf, key.0));
+        let verdict = check::exor_decomposable_pair_derivative(mgr, derivative, key.1);
+        self.verdicts.insert(key, verdict);
+        verdict
+    }
+
+    /// Is the ISF EXOR-decomposable with `(X_A, X_B)`?
+    fn decomposable(&mut self, mgr: &mut Bdd, xa: &VarSet, xb: &VarSet) -> bool {
+        if !xa.iter().all(|a| xb.iter().all(|b| self.pair(mgr, a, b))) {
+            return false;
+        }
+        let isf = self.isf;
+        *self.complete.get_or_insert_with(|| isf.is_completely_specified(mgr))
+            || exor::exor_decomposable(mgr, &isf, xa, xb)
+    }
+}
+
 /// Dispatches the gate-specific strong decomposability check.
-fn decomposable(mgr: &mut Bdd, isf: &Isf, gate: GateChoice, xa: &VarSet, xb: &VarSet) -> bool {
+fn decomposable(
+    mgr: &mut Bdd,
+    isf: &Isf,
+    gate: GateChoice,
+    pairs: &mut ExorPairs,
+    xa: &VarSet,
+    xb: &VarSet,
+) -> bool {
     match gate {
         GateChoice::Or => check::or_decomposable(mgr, isf, xa, xb),
         GateChoice::And => check::and_decomposable(mgr, isf, xa, xb),
-        GateChoice::Exor => exor::exor_decomposable(mgr, isf, xa, xb),
+        GateChoice::Exor => pairs.decomposable(mgr, xa, xb),
     }
 }
 
@@ -53,17 +122,28 @@ pub fn find_initial_grouping(
     support: &VarSet,
     gate: GateChoice,
 ) -> Option<Grouping> {
+    seed_grouping(mgr, isf, support, gate, &mut ExorPairs::new(isf))
+}
+
+fn seed_grouping(
+    mgr: &mut Bdd,
+    isf: &Isf,
+    support: &VarSet,
+    gate: GateChoice,
+    pairs: &mut ExorPairs,
+) -> Option<Grouping> {
     let vars: Vec<u32> = support.iter().collect();
     // All three checks are symmetric in (X_A, X_B), so unordered pairs
     // suffice (the paper's double loop tests both orders; same outcome).
     for (i, &x) in vars.iter().enumerate() {
         for &y in &vars[i + 1..] {
+            let (xa, xb) = (VarSet::singleton(x), VarSet::singleton(y));
             let ok = match gate {
-                GateChoice::Exor => check::exor_decomposable_pair(mgr, isf, x, y),
-                _ => decomposable(mgr, isf, gate, &VarSet::singleton(x), &VarSet::singleton(y)),
+                GateChoice::Exor => pairs.pair(mgr, x, y),
+                _ => decomposable(mgr, isf, gate, pairs, &xa, &xb),
             };
             if ok {
-                return Some(Grouping { xa: VarSet::singleton(x), xb: VarSet::singleton(y) });
+                return Some(Grouping { xa, xb });
             }
         }
     }
@@ -81,7 +161,8 @@ pub fn group_variables(
     support: &VarSet,
     gate: GateChoice,
 ) -> Option<Grouping> {
-    let mut grouping = find_initial_grouping(mgr, isf, support, gate)?;
+    let mut pairs = ExorPairs::new(isf);
+    let mut grouping = seed_grouping(mgr, isf, support, gate, &mut pairs)?;
     let rest = support.difference(&grouping.xa.union(&grouping.xb));
     for z in rest.iter() {
         let zs = VarSet::singleton(z);
@@ -94,7 +175,7 @@ pub fn group_variables(
             } else {
                 (grouping.xa, grouping.xb.union(&zs))
             };
-            if decomposable(mgr, isf, gate, &xa, &xb) {
+            if decomposable(mgr, isf, gate, &mut pairs, &xa, &xb) {
                 grouping = Grouping { xa, xb };
                 break;
             }
@@ -166,7 +247,7 @@ pub fn group_variables_weak(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bdd::Func;
+    use boolfn::{oracle, TruthTable};
 
     #[test]
     fn fig3_grouping_found() {
@@ -288,6 +369,119 @@ mod tests {
         let ga = gain(&mut mgr, &VarSet::singleton(0));
         let gc = gain(&mut mgr, &VarSet::singleton(2));
         assert!(ga > gc, "gain(a)={ga} must exceed gain(c)={gc}");
+    }
+
+    /// One splitmix64 step, for reproducible test parameters.
+    fn mix(z: u64) -> u64 {
+        let z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Random disjoint `(X_A, X_B)` masks over `n ≥ 5` variables, each set
+    /// of size at least 2.
+    fn random_split(n: usize, seed: u64) -> (u32, u32) {
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        let mut s = seed;
+        for i in (1..n).rev() {
+            s = mix(s);
+            order.swap(i, (s % (i as u64 + 1)) as usize);
+        }
+        s = mix(s);
+        let ka = 2 + (s % (n as u64 - 3)) as usize;
+        s = mix(s);
+        let kb = 2 + (s % ((n - ka) as u64 - 1)) as usize;
+        let mask = |vs: &[u32]| vs.iter().fold(0u32, |m, &v| m | 1 << v);
+        (mask(&order[..ka]), mask(&order[ka..ka + kb]))
+    }
+
+    /// A function of `n` variables: by seed, `A(X_A, X_C) ⊕ B(X_B, X_C)`
+    /// (decomposable), the same with one minterm flipped (a near miss), or
+    /// uniformly random.
+    fn random_function(n: usize, xa: u32, xb: u32, seed: u64) -> TruthTable {
+        let a = TruthTable::from_fn(n, |m| mix(seed ^ 0xa ^ u64::from(m & !xb) << 8) & 1 == 1);
+        let b = TruthTable::from_fn(n, |m| mix(seed ^ 0xb ^ u64::from(m & !xa) << 8) & 1 == 1);
+        let mut f = a.xor(&b);
+        match seed % 3 {
+            0 => f,
+            1 => {
+                let m = (mix(seed) % (1u64 << n)) as u32;
+                f.set(m, !f.get(m));
+                f
+            }
+            _ => TruthTable::random(n, 0.5, seed),
+        }
+    }
+
+    fn var_set(mask: u32) -> VarSet {
+        (0..32u32).filter(|v| mask & (1 << v) != 0).collect()
+    }
+
+    fn all_pairs_pass(mgr: &mut Bdd, pairs: &mut ExorPairs, xa: &VarSet, xb: &VarSet) -> bool {
+        xa.iter().all(|a| xb.iter().all(|b| pairs.pair(mgr, a, b)))
+    }
+
+    #[test]
+    fn pair_table_is_exact_on_completely_specified_functions() {
+        let (mut yes, mut no) = (0, 0);
+        for seed in 0..300u64 {
+            let n = 5 + (seed % 3) as usize;
+            let (xam, xbm) = random_split(n, seed);
+            let f = random_function(n, xam, xbm, seed);
+            let expected = oracle::exor_bidecomposable(&f, &f.complement(), xam, xbm);
+            let mut mgr = Bdd::new(n);
+            let fb = f.to_bdd(&mut mgr);
+            let isf = Isf::from_csf(&mut mgr, fb);
+            let (xa, xb) = (var_set(xam), var_set(xbm));
+            let mut pairs = ExorPairs::new(&isf);
+            let ctx = format!("seed {seed} sets {xam:b}/{xbm:b}");
+            assert_eq!(all_pairs_pass(&mut mgr, &mut pairs, &xa, &xb), expected, "{ctx}");
+            assert_eq!(pairs.decomposable(&mut mgr, &xa, &xb), expected, "{ctx}");
+            assert_eq!(
+                exor::check_exor_bidecomp(&mut mgr, &isf, &xa, &xb).is_some(),
+                expected,
+                "{ctx}"
+            );
+            if expected {
+                yes += 1;
+            } else {
+                no += 1;
+            }
+        }
+        assert!(yes > 50 && no > 50, "sweep must hit both verdicts: {yes} yes, {no} no");
+    }
+
+    #[test]
+    fn failing_pair_rules_out_exor_on_incompletely_specified_functions() {
+        let (mut failing, mut fig4_needed) = (0, 0);
+        for seed in 0..300u64 {
+            let n = 5 + (seed % 3) as usize;
+            let (xam, xbm) = random_split(n, seed);
+            let f = random_function(n, xam, xbm, seed);
+            let care = TruthTable::random(n, [0.5, 0.75, 0.9][(seed / 3 % 3) as usize], !seed);
+            let (qt, rt) = (f.and(&care), f.complement().and(&care));
+            let expected = oracle::exor_bidecomposable(&qt, &rt, xam, xbm);
+            let mut mgr = Bdd::new(n);
+            let q = qt.to_bdd(&mut mgr);
+            let r = rt.to_bdd(&mut mgr);
+            let isf = Isf::new(&mut mgr, q, r);
+            let (xa, xb) = (var_set(xam), var_set(xbm));
+            let mut pairs = ExorPairs::new(&isf);
+            let fig4 = exor::check_exor_bidecomp(&mut mgr, &isf, &xa, &xb).is_some();
+            let ctx = format!("seed {seed} sets {xam:b}/{xbm:b}");
+            if all_pairs_pass(&mut mgr, &mut pairs, &xa, &xb) {
+                fig4_needed += usize::from(!fig4);
+            } else {
+                failing += 1;
+                assert!(!fig4, "a failing pair must rule out Fig. 4: {ctx}");
+            }
+            assert_eq!(pairs.decomposable(&mut mgr, &xa, &xb), expected, "{ctx}");
+        }
+        assert!(failing > 50, "sweep must exercise failing pairs: {failing}");
+        // With don't-cares, passing pairs do not prove decomposability: the
+        // sweep must contain cases only Fig. 4 rejects.
+        assert!(fig4_needed > 0, "sweep must show where Fig. 4 is still needed");
     }
 
     #[test]

@@ -62,10 +62,11 @@ impl Isf {
         mgr.implies(self.q, f) && mgr.disjoint(self.r, f)
     }
 
-    /// Theorem 6 (second half): is the *complement* of `f` compatible?
+    /// Theorem 6 (second half): is the *complement* of `f` compatible
+    /// (`Q·f = 0` and `R·¬f = 0`)? Tested on `f` itself, so no BDD for
+    /// `¬f` is built.
     pub fn contains_complement(&self, mgr: &mut Bdd, f: Func) -> bool {
-        let nf = mgr.not(f);
-        mgr.implies(self.q, nf) && mgr.disjoint(self.r, nf)
+        mgr.disjoint(self.q, f) && mgr.implies(self.r, f)
     }
 
     /// The complemented ISF (swap on-set and off-set).
@@ -134,6 +135,25 @@ mod tests {
         let n_ab = mgr.not(ab);
         assert!(!isf.contains(&mut mgr, n_ab));
         assert!(isf.contains_complement(&mut mgr, n_ab), "¬(¬(a·b)) = a·b fits");
+    }
+
+    #[test]
+    fn contains_complement_matches_contains_of_the_complement() {
+        use boolfn::TruthTable;
+        let n = 4;
+        for seed in 0..40u64 {
+            let f = TruthTable::random(n, 0.5, seed);
+            let care = TruthTable::random(n, 0.3, seed ^ 0x5eed);
+            let mut mgr = Bdd::new(n);
+            let q = f.and(&care).to_bdd(&mut mgr);
+            let r = f.complement().and(&care).to_bdd(&mut mgr);
+            let isf = Isf::new(&mut mgr, q, r);
+            let g = TruthTable::random(n, 0.5, !seed).to_bdd(&mut mgr);
+            for h in [g, f.to_bdd(&mut mgr), q, r] {
+                let nh = mgr.not(h);
+                assert_eq!(isf.contains_complement(&mut mgr, h), isf.contains(&mut mgr, nh));
+            }
+        }
     }
 
     #[test]
