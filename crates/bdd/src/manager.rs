@@ -112,11 +112,12 @@ pub(crate) enum CacheOp {
     Compose,
     CofPos,
     CofNeg,
+    PickSlice,
 }
 
 impl CacheOp {
     /// Number of operation kinds (sizes the per-op analytics arrays).
-    pub(crate) const COUNT: usize = 13;
+    pub(crate) const COUNT: usize = 14;
 
     /// Every operation kind, in declaration order (= discriminant order).
     pub(crate) const ALL: [CacheOp; CacheOp::COUNT] = [
@@ -133,6 +134,7 @@ impl CacheOp {
         CacheOp::Compose,
         CacheOp::CofPos,
         CacheOp::CofNeg,
+        CacheOp::PickSlice,
     ];
 
     /// Stable lower-case name used in analytics JSON.
@@ -151,6 +153,7 @@ impl CacheOp {
             CacheOp::Compose => "compose",
             CacheOp::CofPos => "cof_pos",
             CacheOp::CofNeg => "cof_neg",
+            CacheOp::PickSlice => "pick_slice",
         }
     }
 }

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use crate::hash::FxHashMap;
-use crate::manager::{Bdd, Func, TERMINAL_LEVEL};
+use crate::manager::{Bdd, CacheKey, CacheOp, Func, TERMINAL_LEVEL};
 
 impl Bdd {
     /// Evaluates `f` under a complete assignment (`assignment[v]` is the
@@ -82,6 +82,52 @@ impl Bdd {
                 if positive { self.mk(v, Func::ZERO, cube) } else { self.mk(v, cube, Func::ZERO) };
         }
         Some(cube)
+    }
+
+    /// Picks one path cube of `f` over the variables of `cube` for every
+    /// assignment of the other variables (one [`pick_cube`](Bdd::pick_cube)
+    /// per *slice*).
+    ///
+    /// The result `g` satisfies `g ≤ f` and `∃cube . g = ∃cube . f`, and
+    /// its cofactor at any complete assignment of the variables outside
+    /// `cube` is 0 or a single cube. Like `pick_cube` it prefers the high
+    /// branch: at a cube variable `v` it keeps the high slices and picks
+    /// from the low branch only where the high one is empty,
+    /// `mk(v, pick(f0 · ¬∃sub . f1), pick(f1))`.
+    ///
+    /// `cube` must be a positive cube as produced by [`Bdd::cube`].
+    pub fn pick_cube_per_slice(&mut self, f: Func, cube: Func) -> Func {
+        if f.is_const() || cube.is_one() {
+            return f;
+        }
+        let top = self.level(f);
+        // Skip cube variables above f's top variable: they do not occur in f.
+        let mut cube = cube;
+        while !cube.is_one() && self.level(cube) < top {
+            cube = self.node(cube).high;
+        }
+        if cube.is_one() {
+            return f;
+        }
+        let key = CacheKey { op: CacheOp::PickSlice, a: f.0, b: cube.0, c: 0 };
+        if let Some(hit) = self.cache_get(&key) {
+            return hit;
+        }
+        let node = *self.node(f);
+        let result = if self.level(cube) == top {
+            let sub = self.node(cube).high;
+            let high = self.pick_cube_per_slice(node.high, sub);
+            let taken = self.exists(node.high, sub);
+            let rest = self.diff(node.low, taken);
+            let low = self.pick_cube_per_slice(rest, sub);
+            self.mk(node.var, low, high)
+        } else {
+            let low = self.pick_cube_per_slice(node.low, cube);
+            let high = self.pick_cube_per_slice(node.high, cube);
+            self.mk(node.var, low, high)
+        };
+        self.cache_put(key, result);
+        result
     }
 
     /// Picks one satisfying *minterm* of `f` as a complete assignment over

@@ -225,6 +225,64 @@ fn pick_cube_lies_inside_f() {
     }
 }
 
+/// `pick_cube_per_slice` against truth tables on random 4–8-variable
+/// functions under random variable orders, for the empty cube set, the set
+/// of all variables and a random set in between.
+#[test]
+fn pick_cube_per_slice_keeps_one_cube_per_slice() {
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::new(seed ^ 0x51ce);
+        let n = 4 + rng.gen_range(5);
+        let density = [0.05, 0.2, 0.5, 0.8][rng.gen_range(4)];
+        let table: Vec<bool> = (0..1usize << n).map(|_| rng.gen_bool(density)).collect();
+        let mut mgr = Bdd::new(n);
+        let mut f = Func::ZERO;
+        for m in (0..1usize << n).filter(|&m| table[m]) {
+            let mut minterm = Func::ONE;
+            for v in 0..n {
+                let lit = mgr.literal(v as u32, m & (1 << v) != 0);
+                minterm = mgr.and(minterm, lit);
+            }
+            f = mgr.or(f, minterm);
+        }
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        rng.shuffle(&mut order);
+        let f = mgr.reorder(&order, &[f])[0];
+        let all = (1usize << n) - 1;
+        for mask in [0, all, rng.gen_range(all + 1)] {
+            let ctx = format!("seed {seed}, order {order:?}, cube set {mask:b}");
+            let vars: VarSet = (0..n as u32).filter(|v| mask & (1 << v) != 0).collect();
+            let cube = mgr.cube(&vars);
+            let g = mgr.pick_cube_per_slice(f, cube);
+            let bits = |m: usize| -> Vec<bool> { (0..n).map(|v| m & (1 << v) != 0).collect() };
+            let g_table: Vec<bool> = (0..=all).map(|m| mgr.eval(g, &bits(m))).collect();
+            for m in 0..=all {
+                assert!(!g_table[m] || table[m], "{ctx}: result must imply f at {m:b}");
+            }
+            // A slice fixes the variables outside the cube set.
+            for outer in (0..=all).filter(|m| m & mask == 0) {
+                let slice = || (0..=all).filter(move |m| m & !mask == outer);
+                assert_eq!(
+                    slice().any(|m| g_table[m]),
+                    slice().any(|m| table[m]),
+                    "{ctx}: ∃cube result must equal ∃cube f on slice {outer:b}"
+                );
+                let mut s = g;
+                for v in (0..n).filter(|v| mask & (1 << v) == 0) {
+                    s = mgr.cofactor(s, v as u32, outer & (1 << v) != 0);
+                }
+                assert!(s.is_zero() || mgr.is_cube(s), "{ctx}: slice {outer:b} is not a cube");
+            }
+            if mask == 0 {
+                assert_eq!(g, f, "{ctx}: with no cube variables every slice is constant");
+            }
+            if mask == all {
+                assert_eq!(Some(g), mgr.pick_cube(f).or(Some(Func::ZERO)), "{ctx}: one slice");
+            }
+        }
+    }
+}
+
 #[test]
 fn reorder_preserves_semantics_random_order() {
     for seed in 0..CASES {

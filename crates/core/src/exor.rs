@@ -8,6 +8,13 @@
 //! decided constraint minterms from the working on/off-sets. A conflict
 //! (`q ∧ r ≠ 0` on either side) proves non-decomposability; exhaustion of
 //! the on-set yields the component intervals.
+//!
+//! Propagation quantifies only `X_A` or `X_B`, so it never changes the
+//! assignment of the common variables `X_C`: every `X_C` slice is an
+//! independent colouring problem. [`check_exor_bidecomp`] seeds one cube
+//! at a time, as the paper does, and so derives the paper's components;
+//! [`exor_decomposable`] only needs the verdict and seeds one cube in
+//! every slice at once.
 
 use bdd::{Bdd, Func, VarSet};
 
@@ -37,6 +44,31 @@ pub fn check_exor_bidecomp(
     xa: &VarSet,
     xb: &VarSet,
 ) -> Option<ExorComponents> {
+    // The paper's `SelectOneCube`: one component per seed.
+    propagate(mgr, isf, xa, xb, |mgr, q| mgr.pick_cube(q).expect("q is non-zero"))
+}
+
+/// Does an EXOR decomposition with these sets exist?
+///
+/// Same verdict as [`check_exor_bidecomp`], reached with fewer rounds: the
+/// seed holds one on-set cube over `X_A ∪ X_B` in every `X_C` slice. The
+/// slices share no constraint, whether a component 2-colours does not
+/// depend on the point that seeds it, and a cube inside `Q` forces one
+/// consistent polarity, so this is exact.
+pub fn exor_decomposable(mgr: &mut Bdd, isf: &Isf, xa: &VarSet, xb: &VarSet) -> bool {
+    let dedicated = mgr.cube(&xa.union(xb));
+    propagate(mgr, isf, xa, xb, |mgr, q| mgr.pick_cube_per_slice(q, dedicated)).is_some()
+}
+
+/// The Fig. 4 propagation loop; `seed` picks the on-set cubes that start
+/// each round of connected components.
+fn propagate(
+    mgr: &mut Bdd,
+    isf: &Isf,
+    xa: &VarSet,
+    xb: &VarSet,
+    seed: impl Fn(&mut Bdd, Func) -> Func,
+) -> Option<ExorComponents> {
     debug_assert!(xa.is_disjoint(xb), "X_A and X_B must be disjoint");
     let ca = mgr.cube(xa);
     let cb = mgr.cube(xb);
@@ -51,11 +83,11 @@ pub fn check_exor_bidecomp(
     let mut rb_all = Func::ZERO;
 
     while !q.is_zero() {
-        // Seed a new connected component: force A = 1 on the X_B-projection
-        // of one on-set cube (any polarity works within a component; 1 is
+        // Seed new connected components: force A = 1 on the X_B-projection
+        // of on-set cubes (any polarity works within a component; 1 is
         // the paper's choice).
-        let cube = mgr.pick_cube(q).expect("q is non-zero");
-        let mut q_a = mgr.exists(cube, cb);
+        let cubes = seed(mgr, q);
+        let mut q_a = mgr.exists(cubes, cb);
         let mut r_a = Func::ZERO;
         while !q_a.is_zero() || !r_a.is_zero() {
             // Propagate A-side decisions to the B side. Where A = 1,
@@ -108,11 +140,6 @@ pub fn check_exor_bidecomp(
         a: Isf::new_unchecked(qa_all, ra_all),
         b: Isf::new_unchecked(qb_all, rb_all),
     })
-}
-
-/// Convenience wrapper: does an EXOR decomposition with these sets exist?
-pub fn exor_decomposable(mgr: &mut Bdd, isf: &Isf, xa: &VarSet, xb: &VarSet) -> bool {
-    check_exor_bidecomp(mgr, isf, xa, xb).is_some()
 }
 
 #[cfg(test)]
@@ -225,6 +252,60 @@ mod tests {
             }
         }
         assert!(decomposable_seen > 10, "sweep must exercise the success path");
+    }
+
+    /// The yes/no check, the derivation and the truth-table oracle agree
+    /// on random ISFs with common variables under random variable orders.
+    /// Each function is built as `A(X_A, X_C) ⊕ B(X_B, X_C)`, perturbed in
+    /// up to two minterms and given don't-cares, so both verdicts are
+    /// common.
+    #[test]
+    fn decision_agrees_with_derivation_and_oracle() {
+        use benchmarks::SplitMix64;
+        use boolfn::{oracle, TruthTable};
+        let (mut yes, mut no) = (0, 0);
+        for seed in 0..400u64 {
+            let mut rng = SplitMix64::new(seed);
+            let n = 5 + rng.gen_range(4);
+            // Non-empty X_A and X_B, and at least one common variable.
+            let mut vars: Vec<u32> = (0..n as u32).collect();
+            rng.shuffle(&mut vars);
+            let ka = 1 + rng.gen_range(n - 2);
+            let kb = 1 + rng.gen_range(n - 1 - ka);
+            let mask = |vs: &[u32]| vs.iter().fold(0u32, |m, &v| m | 1 << v);
+            let (xam, xbm) = (mask(&vars[..ka]), mask(&vars[ka..ka + kb]));
+            let ta = TruthTable::random(n, 0.5, rng.next_u64());
+            let tb = TruthTable::random(n, 0.5, rng.next_u64());
+            let a = TruthTable::from_fn(n, |m| ta.get(m & !xbm));
+            let b = TruthTable::from_fn(n, |m| tb.get(m & !xam));
+            let mut f = a.xor(&b);
+            for _ in 0..rng.gen_range(3) {
+                let m = rng.gen_range(1 << n) as u32;
+                f.set(m, !f.get(m));
+            }
+            let care = TruthTable::random(n, [0.5, 0.7, 0.9][rng.gen_range(3)], rng.next_u64());
+            let (qt, rt) = (f.and(&care), f.complement().and(&care));
+            let expected = oracle::exor_bidecomposable(&qt, &rt, xam, xbm);
+
+            let mut mgr = Bdd::new(n);
+            let q = qt.to_bdd(&mut mgr);
+            let r = rt.to_bdd(&mut mgr);
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            rng.shuffle(&mut order);
+            let roots = mgr.reorder(&order, &[q, r]);
+            let isf = Isf::new(&mut mgr, roots[0], roots[1]);
+            let xa: VarSet = (0..n as u32).filter(|v| xam & (1 << v) != 0).collect();
+            let xb: VarSet = (0..n as u32).filter(|v| xbm & (1 << v) != 0).collect();
+            let ctx = format!("seed {seed} sets {xam:b}/{xbm:b} order {order:?}");
+            assert_eq!(exor_decomposable(&mut mgr, &isf, &xa, &xb), expected, "{ctx}");
+            assert_eq!(check_exor_bidecomp(&mut mgr, &isf, &xa, &xb).is_some(), expected, "{ctx}");
+            if expected {
+                yes += 1;
+            } else {
+                no += 1;
+            }
+        }
+        assert!(yes > 100 && no > 100, "sweep must hit both verdicts: {yes} yes, {no} no");
     }
 
     #[test]

@@ -63,6 +63,19 @@ fn mask_varset(mask: u32, n: usize) -> VarSet {
     (0..n as u32).filter(|v| mask & (1 << v) != 0).collect()
 }
 
+/// The first assignment `outer` of the variables outside `mask` whose
+/// slice of `t` (the minterms `m` with `m & !mask == outer`) is neither
+/// empty nor a cube, if any.
+fn first_non_cube_slice(t: &TruthTable, mask: u32) -> Option<u32> {
+    let all = (1u32 << t.num_vars()) - 1;
+    (0..=all).filter(|outer| outer & mask == 0).find(|&outer| {
+        let members: Vec<u32> = t.minterms().filter(|m| m & !mask == outer).collect();
+        let (and, or) = members.iter().fold((all, 0), |(a, o), &m| (a & m, o | m));
+        // A cube holds every point between its common bits and its span.
+        !members.is_empty() && members.len() != 1 << (and ^ or).count_ones()
+    })
+}
+
 /// Compares a BDD against its expected table; on mismatch reports the
 /// first differing minterm.
 fn expect_tt(
@@ -145,7 +158,10 @@ pub fn check_operators(pla: &Pla, seed: u64) -> Result<u64, Failure> {
         checks += 2;
     }
 
-    // 3. Quantification over random non-empty variable subsets.
+    // 3. Quantification over random non-empty variable subsets, and one
+    //    cube per slice over the same subsets: the picked function lies
+    //    inside the operand, has its existential projection, and holds at
+    //    most one cube in every assignment of the other variables.
     for _ in 0..3 {
         let mask = 1 + rng.gen_range((1usize << n) - 1);
         let mask = mask as u32;
@@ -159,7 +175,19 @@ pub fn check_operators(pla: &Pla, seed: u64) -> Result<u64, Failure> {
         expect_tt(&mgr, f, &ta.forall(mask), "quantify", &format!("forall {mask:b}"))?;
         let f = mgr.exists_set(fa, &set);
         expect_tt(&mgr, f, &ta.exists(mask), "quantify", &format!("exists_set {mask:b}"))?;
-        checks += 3;
+        let g = mgr.pick_cube_per_slice(fa, cube);
+        let tg = TruthTable::from_bdd(&mgr, g, n);
+        let what = format!("pick_cube_per_slice {mask:b}");
+        if !tg.implies(&ta) {
+            return Err(Failure::new("quantify", format!("{what}: result leaves the operand")));
+        }
+        if tg.exists(mask) != ta.exists(mask) {
+            return Err(Failure::new("quantify", format!("{what}: projection differs")));
+        }
+        if let Some(outer) = first_non_cube_slice(&tg, mask) {
+            return Err(Failure::new("quantify", format!("{what}: slice {outer:b} is no cube")));
+        }
+        checks += 6;
     }
 
     // 4. Cofactor and functional composition.
