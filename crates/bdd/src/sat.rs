@@ -114,18 +114,16 @@ impl Bdd {
             return hit;
         }
         let node = *self.node(f);
-        let result = if self.level(cube) == top {
+        let (low, high) = if self.level(cube) == top {
             let sub = self.node(cube).high;
             let high = self.pick_cube_per_slice(node.high, sub);
             let taken = self.exists(node.high, sub);
             let rest = self.diff(node.low, taken);
-            let low = self.pick_cube_per_slice(rest, sub);
-            self.mk(node.var, low, high)
+            (self.pick_cube_per_slice(rest, sub), high)
         } else {
-            let low = self.pick_cube_per_slice(node.low, cube);
-            let high = self.pick_cube_per_slice(node.high, cube);
-            self.mk(node.var, low, high)
+            (self.pick_cube_per_slice(node.low, cube), self.pick_cube_per_slice(node.high, cube))
         };
+        let result = self.mk(node.var, low, high);
         self.cache_put(key, result);
         result
     }
